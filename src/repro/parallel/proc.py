@@ -16,7 +16,12 @@ the handshake):
    "distribute key material via a spec pickle" sound);
 2. each worker binds ``(host, 0)`` and replies ``("ready", nid, addr)``
    with the kernel-assigned port; the parent broadcasts the collected
-   peer map -- no hardcoded ports, so concurrent clusters never collide;
+   peer map -- no hardcoded ports, so concurrent clusters never collide.
+   Workers receive the map one after another, so a fast worker may start
+   its protocol and dial a peer that has not bound its node yet; the
+   peer's transport holds such frames in the socket until the node
+   binds (:class:`~repro.runtime.transport.ProcMeshTransport`), so none
+   is dropped for lack of a handler;
 3. the parent polls ``("status",)``; a worker reports its local done
    flag, cumulative frame counters, idleness, and any failure.  Global
    completion is distributed termination detection by frame-count

@@ -1,9 +1,12 @@
 """Asynchronous state-machine replication by composition (Section 6.1).
 
-HoneyBadger-style round structure: in every epoch each party reliably
+HoneyBadger-style round structure: in every epoch each proposer reliably
 broadcasts its transaction batch (Bracha RBC, converted to the weighted
 model by weighted voting); the epoch's common coin (weighted via
-WR(1/3, 1/2), Section 4.1) fixes the ordering.  The paper's point is
+WR(1/3, 1/2), Section 4.1) fixes the ordering.  Who proposes is the
+caller's choice: every party, or -- in the epoch service -- only the
+parties holding WR tickets.  Every party echoes, readies, votes with its
+full weight and commits whichever instances deliver.  The paper's point is
 compositional: the broadcast layer keeps resilience ``f_w = 1/3`` through
 weighted voting/WQ, the randomness layer uses a nominal ``alpha_n = 1/2``
 threshold scheme behind WR, and the composed protocol keeps resilience
@@ -99,8 +102,12 @@ class SmrParty(Party):
         self.committed: dict[int, dict[int, tuple[int, bytes]]] = {}
         self._echoed: set[tuple[int, int]] = set()
         self._readied: set[tuple[int, int]] = set()
-        self._echo_senders: dict[tuple[int, int, bytes], set[int]] = {}
-        self._ready_senders: dict[tuple[int, int, bytes], set[int]] = {}
+        self._delivered: set[tuple[int, int]] = set()
+        #: (epoch, proposer) -> payload -> senders.  An instance's ECHO
+        #: tally is dropped once it readies and its READY tally once it
+        #: delivers: past those points no vote can change what it sends.
+        self._echo_senders: dict[tuple[int, int], dict[bytes, set[int]]] = {}
+        self._ready_senders: dict[tuple[int, int], dict[bytes, set[int]]] = {}
         self.on(BatchSend, self._handle_send)
         self.on(BatchEcho, self._handle_echo)
         self.on(BatchReady, self._handle_ready)
@@ -122,26 +129,33 @@ class SmrParty(Party):
             )
 
     def _handle_echo(self, message: BatchEcho, sender: int) -> None:
-        key = (message.epoch, message.proposer, message.payload)
-        senders = self._echo_senders.setdefault(key, set())
+        instance = (message.epoch, message.proposer)
+        if instance in self._readied:
+            return
+        by_payload = self._echo_senders.setdefault(instance, {})
+        senders = by_payload.setdefault(message.payload, set())
         senders.add(sender)
-        if key[:2] not in self._readied and self.quorums.echo_quorum(senders):
-            self._readied.add(key[:2])
-            self.broadcast(
-                BatchReady(message.epoch, message.proposer, message.payload)
-            )
+        if self.quorums.echo_quorum(senders):
+            self._ready(instance, message.payload)
 
     def _handle_ready(self, message: BatchReady, sender: int) -> None:
-        key = (message.epoch, message.proposer, message.payload)
-        senders = self._ready_senders.setdefault(key, set())
+        instance = (message.epoch, message.proposer)
+        if instance in self._delivered:
+            return
+        by_payload = self._ready_senders.setdefault(instance, {})
+        senders = by_payload.setdefault(message.payload, set())
         senders.add(sender)
-        if key[:2] not in self._readied and self.quorums.ready_amplify(senders):
-            self._readied.add(key[:2])
-            self.broadcast(
-                BatchReady(message.epoch, message.proposer, message.payload)
-            )
+        if instance not in self._readied and self.quorums.ready_amplify(senders):
+            self._ready(instance, message.payload)
         if self.quorums.deliver_quorum(senders):
+            self._delivered.add(instance)
+            self._ready_senders.pop(instance, None)
             self._commit(message.epoch, message.proposer, message.payload)
+
+    def _ready(self, instance: tuple[int, int], payload: bytes) -> None:
+        self._readied.add(instance)
+        self._echo_senders.pop(instance, None)
+        self.broadcast(BatchReady(instance[0], instance[1], payload))
 
     # -- commitment --------------------------------------------------------------
     def _commit(self, epoch: int, proposer: int, payload: bytes) -> None:

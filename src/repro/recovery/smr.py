@@ -172,6 +172,7 @@ class RecoverableSmrParty(SmrParty):
         self.committed.clear()
         self._echoed.clear()
         self._readied.clear()
+        self._delivered.clear()
         self._echo_senders.clear()
         self._ready_senders.clear()
         self._sync_confirmers.clear()

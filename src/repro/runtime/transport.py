@@ -489,6 +489,8 @@ class ProcMeshTransport(Transport):
         self._retry: dict[int, deque] = {}
         self._retry_tasks: dict[int, asyncio.Task] = {}
         self._heartbeat_task: Optional[asyncio.Task] = None
+        #: set once the local node binds; inbound frames wait for it
+        self._bound = asyncio.Event()
 
     async def listen(self) -> int:
         """Bind the kernel-assigned port and return it (before peers)."""
@@ -500,6 +502,10 @@ class ProcMeshTransport(Transport):
         """Install the identity and peer address map the parent collected."""
         self.local_pid = local_pid
         self._peers = {int(pid): (host, int(port)) for pid, (host, port) in peers.items()}
+
+    def bind(self, pid: int, handler: Handler) -> None:
+        super().bind(pid, handler)
+        self._bound.set()  # the one node this worker hosts
 
     def reconfigure(self, peers: dict[int, tuple[str, int]]) -> None:
         """Adopt a refreshed peer map (a respawned worker has a new
@@ -732,6 +738,9 @@ class ProcMeshTransport(Transport):
         try:
             hello = await reader.readexactly(_MESH_HELLO.size)
             src, incarnation = _MESH_HELLO.unpack(hello)
+            # A faster peer may dial between "ready" and our node's bind;
+            # its frames wait in the socket rather than find no handler.
+            await self._bound.wait()
             if incarnation > self._peer_incarnations.get(src, 0):
                 # the peer was reborn: its sequence numbers restart, so
                 # the old watermark would wrongly discard all new traffic

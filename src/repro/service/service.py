@@ -12,6 +12,21 @@ committee via the :class:`~repro.service.epoch.EpochManager` -- whose
 incremental re-solve reuses the previous epoch's price stream -- and
 switches atomically to the next generation of parties.
 
+Only ticket holders propose.  Each epoch's proposer set is the parties
+holding at least one ticket in the epoch's WR(f_w, 1/2) assignment -- the
+solution the checkpoint handover already uses, so it costs no second
+solve.  A slot's requests are spread round-robin over the proposers, and
+the slot is complete once every proposer's batch position is committed
+by all ``n`` replicas.  Every other party stays a full replica: it
+ECHOes, READYs and votes with its full weight, and it commits.  Safety
+and liveness rest on the WR guarantee: a coalition holding less than
+``f_w`` of the weight holds less than half of the tickets, so the
+proposers of every slot include honest parties, and those hold most of
+the tickets.  A faulty proposer can withhold its batch or censor the
+requests it drew -- the same exposure as when every party proposes.
+Weight reduction thus shrinks the slot from ``n`` RBC instances to one
+per ticket holder (37 instead of 104 on the Aptos snapshot).
+
 Slots are *global*: the service's slot counter maps directly onto
 ``SmrParty`` epoch numbers and never resets, so the common coin (keyed by
 slot id) and the committed log are continuous across rotations.  A
@@ -36,7 +51,7 @@ from ..crypto.group import TEST_GROUP_256
 from ..crypto.threshold_sig import ThresholdSignatureScheme
 from ..protocols.checkpointing import CheckpointParty
 from ..protocols.common_coin import deterministic_coin
-from ..protocols.smr import SmrParty
+from ..protocols.smr import SmrParty, batch_position
 from ..weighted.virtual import VirtualUserMap
 from .backends import PartyGroup, ServiceBackend
 from .epoch import EpochManager
@@ -101,11 +116,15 @@ class ServiceConfig:
 class _SlotState:
     """Commitment progress of one cut slot across its committee."""
 
-    __slots__ = ("epoch", "n", "cut_at", "batches", "commits")
+    __slots__ = ("epoch", "n", "positions", "cut_at", "batches", "commits")
 
-    def __init__(self, epoch: int, n: int, cut_at: float) -> None:
+    def __init__(
+        self, epoch: int, n: int, positions: frozenset[int], cut_at: float
+    ) -> None:
         self.epoch = epoch
         self.n = n
+        #: the batch positions of the slot's proposers
+        self.positions = positions
         self.cut_at = cut_at
         #: position -> batch payload (first commit's copy)
         self.batches: dict[int, bytes] = {}
@@ -114,9 +133,9 @@ class _SlotState:
 
     @property
     def complete(self) -> bool:
-        return len(self.commits) == self.n and all(
-            len(pids) == self.n for pids in self.commits.values()
-        )
+        """Every proposer's position committed by all ``n`` replicas."""
+        commits = self.commits
+        return all(len(commits.get(p, ())) == self.n for p in self.positions)
 
 
 class EpochService:
@@ -162,6 +181,8 @@ class EpochService:
         self.tickets = None
         self.group: Optional[PartyGroup] = None
         self.n = 0
+        #: the epoch's ticket holders, the only parties that propose
+        self.proposers: tuple[int, ...] = ()
         #: per-epoch {pid: log digest} over the epoch's slots -- equal
         #: digests across pids are the prefix-consistency evidence
         self.epoch_party_digests: list[dict[int, str]] = []
@@ -311,20 +332,23 @@ class EpochService:
             self._shed_expired(now)
             if not self.pending:
                 return
+        proposers = self.proposers
         take = min(len(self.pending), self.config.max_batch)
-        assigned: list[list[tuple[int, bytes]]] = [[] for _ in range(self.n)]
+        assigned: list[list[tuple[int, bytes]]] = [[] for _ in proposers]
         for j in range(take):
-            assigned[j % self.n].append(self.pending.popleft())
+            assigned[j % len(proposers)].append(self.pending.popleft())
         slot = self.next_slot
         self.next_slot += 1
         self.metrics.slots_cut += 1
         self._epoch_slots += 1
-        self._slots[slot] = _SlotState(self.epoch, self.n, now)
+        coin = self.coin(slot)
+        positions = frozenset(batch_position(p, coin, self.n) for p in proposers)
+        self._slots[slot] = _SlotState(self.epoch, self.n, positions, now)
         self._incomplete.add(slot)
-        # Every replica proposes -- an empty batch if it drew no requests --
-        # so slot completion is uniform: n committed positions everywhere.
-        for pid in range(self.n):
-            self.group.parties[pid].propose_batch(slot, encode_batch(assigned[pid]))
+        # Every ticket holder proposes -- an empty batch if it drew no
+        # requests -- so the slot waits on exactly the holders' positions.
+        for pid, batch in zip(proposers, assigned):
+            self.group.parties[pid].propose_batch(slot, encode_batch(batch))
         if (
             self.config.slots_per_epoch > 0
             and self._epoch_slots >= self.config.slots_per_epoch
@@ -358,6 +382,8 @@ class EpochService:
         state = self._slots.get(slot)
         if state is None or state.epoch != self.epoch:
             return  # stale delivery from a retired generation
+        if position not in state.positions:
+            return  # not a proposer's batch
         state.batches.setdefault(position, payload)
         state.commits.setdefault(position, set()).add(pid)
         if slot in self._incomplete and state.complete:
@@ -478,6 +504,9 @@ class EpochService:
         self.committee = committee
         self.tickets = tickets
         self.n = committee.n
+        self.proposers = tuple(
+            pid for pid, t in enumerate(tickets.assignment) if t > 0
+        )
         quorums = committee.quorums(self.config.f_w)
 
         def factory(pid: int) -> SmrParty:

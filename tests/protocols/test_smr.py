@@ -94,6 +94,62 @@ class TestWeightedSmr:
         )
 
 
+class TestVoteState:
+    def test_committed_instance_holds_no_vote_sets(self):
+        quorums = WeightedQuorums(WEIGHTS, "1/3")
+        held = []
+
+        def on_commit(pid, epoch, position, _payload):
+            party = world.party(pid)
+            instance = (epoch, (position - deterministic_coin(epoch)) % N)
+            if instance in party._echo_senders or instance in party._ready_senders:
+                held.append((pid, instance))
+
+        world = build_world(
+            lambda pid: SmrParty(
+                pid, N, quorums, deterministic_coin, on_commit=on_commit
+            ),
+            N,
+            seed=7,
+        )
+        for epoch in (0, 1):
+            for pid in range(N):
+                world.party(pid).propose_batch(epoch, f"v{epoch}-{pid}".encode())
+        world.run()
+        assert held == []
+        for pid in range(N):
+            party = world.party(pid)
+            assert len(party.ordered_log(0)) == len(party.ordered_log(1)) == N
+            assert party._echo_senders == {} and party._ready_senders == {}
+
+    def test_ignored_votes_send_nothing_extra(self):
+        # One SEND, one ECHO per party, one READY per party: n + 2n^2 per
+        # instance, exactly as before votes past ready/deliver were dropped.
+        world = make_world(WeightedQuorums(WEIGHTS, "1/3"), seed=8)
+        for pid in range(N):
+            world.party(pid).propose_batch(0, bytes([pid]))
+        world.run()
+        assert world.network.metrics.messages == N * (N + 2 * N * N)
+
+    def test_restart_forgets_delivered_instances(self):
+        from repro.recovery.smr import RecoverableSmrParty
+
+        quorums = WeightedQuorums(WEIGHTS, "1/3")
+        world = build_world(
+            lambda pid: RecoverableSmrParty(pid, N, quorums, deterministic_coin),
+            N,
+            seed=9,
+        )
+        world.party(1).propose_batch(0, b"once")
+        world.run()
+        party = world.party(0)
+        assert party._delivered == {(0, 1)}
+        party.crash()
+        party.restart()
+        assert party._delivered == set()
+        assert party.ordered_log(0) == [(1, b"once")]
+
+
 class TestNominalSmr:
     def test_same_code_runs_nominal(self):
         quorums = NominalQuorums(n=N, t=2)

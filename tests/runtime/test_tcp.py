@@ -101,3 +101,41 @@ def factory_quorums(quorums):
         return BroadcastParty(pid, quorums)
 
     return factory
+
+
+class TestProcMeshHandshake:
+    def test_frames_sent_before_the_peer_binds_are_held_not_dropped(self):
+        # A proc worker's listener is up before its node binds; a faster
+        # peer can dial and send in that window.  The frame must wait for
+        # the handler instead of being dropped for lack of one.
+        from repro.protocols.smr import BatchSend
+        from repro.runtime.codec import default_registry
+        from repro.runtime.transport import ProcMeshTransport
+
+        early = BatchSend(epoch=0, proposer=0, payload=b"early")
+
+        async def scenario():
+            sender = ProcMeshTransport(default_registry())
+            receiver = ProcMeshTransport(default_registry())
+            peers = {
+                0: ("127.0.0.1", await sender.listen()),
+                1: ("127.0.0.1", await receiver.listen()),
+            }
+            got = []
+            try:
+                sender.configure(0, peers)
+                await sender.send(0, 1, early)
+                await asyncio.sleep(0.05)  # the frame reaches the receiver
+                receiver.configure(1, peers)
+                receiver.bind(1, lambda src, message: got.append((src, message)))
+                for _ in range(200):
+                    if got:
+                        break
+                    await asyncio.sleep(0.01)
+                assert got == [(0, early)]
+                assert receiver.frames_received == sender.frames_sent == 1
+            finally:
+                await sender.stop()
+                await receiver.stop()
+
+        asyncio.run(scenario())

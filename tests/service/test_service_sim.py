@@ -7,10 +7,12 @@ path on small stake drifts, and byte-identical records across runs.
 """
 
 import json
+from collections import Counter
 
 import pytest
 
 from repro.api import Committee, CommitteeValidationError
+from repro.protocols.smr import BatchSend
 from repro.scenarios import get_scenario, run_scenario
 from repro.service import (
     DriftSchedule,
@@ -21,11 +23,14 @@ from repro.service import (
     SimServiceBackend,
 )
 from repro.service.scenario import drift_schedule_for
+from repro.service.service import decode_batch
 
 N = 6
 
 
-def _run_service(schedule=None, *, epochs=3, requests=36, rate=60.0, seed=0):
+def _run_service(
+    schedule=None, *, epochs=3, requests=36, rate=60.0, seed=0, backend=None
+):
     committee = Committee.synthetic("zipf", n=N, total=600, skew=1.2, seed=seed)
     if schedule is None:
         schedule = drift_schedule_for(tuple(committee.int_weights), epochs)
@@ -35,7 +40,11 @@ def _run_service(schedule=None, *, epochs=3, requests=36, rate=60.0, seed=0):
     )
     load = LoadGenerator(rate, requests, payload_size=32, seed=seed)
     service = EpochService(
-        SimServiceBackend(seed=seed), manager, config, seed=seed, load=load
+        backend or SimServiceBackend(seed=seed),
+        manager,
+        config,
+        seed=seed,
+        load=load,
     )
     service.run()
     return service
@@ -69,13 +78,12 @@ class TestRotation:
 
 
 class TestCommittedLog:
-    def test_log_is_gap_free(self, service):
+    def test_log_is_gap_free(self, service, holder_positions):
         by_slot = {}
         for slot, position, _payload in service.committed_log:
             by_slot.setdefault(slot, []).append(position)
         assert sorted(by_slot) == list(range(len(by_slot)))
-        for positions in by_slot.values():
-            assert sorted(positions) == list(range(N))
+        assert by_slot == holder_positions(service)
 
     def test_emission_order_is_prefix_consistent(self, service):
         keys = [(slot, pos) for slot, pos, _ in service.committed_log]
@@ -93,6 +101,69 @@ class TestCommittedLog:
         ]
         assert sorted(rid for rid, _ in committed) == list(range(36))
         assert {payload for _, payload in committed} == expected
+
+
+class _CountingBackend(SimServiceBackend):
+    """Sim backend that counts BatchSend messages per slot."""
+
+    def __init__(self, **kwargs) -> None:
+        super().__init__(**kwargs)
+        self.batch_sends: Counter[int] = Counter()
+
+    def spawn(self, factory, n):
+        group = super().spawn(factory, n)
+        network = group.handle
+        send = network.send
+
+        def counted(src, dst, message):
+            if isinstance(message, BatchSend):
+                self.batch_sends[message.epoch] += 1
+            send(src, dst, message)
+
+        network.send = counted
+        return group
+
+
+class TestProposerSet:
+    def test_positions_follow_each_epochs_holders(self, holder_positions):
+        committee = Committee.synthetic("zipf", n=N, total=600, skew=1.2, seed=0)
+        initial = tuple(committee.int_weights)
+        # Epoch 1 lifts party 5 into the holders; epoch 2 flattens party 3.
+        schedule = DriftSchedule(initial=initial, drifts=((1, 5, 200), (2, 3, 60)))
+        service = _run_service(schedule)
+        assert service.result().completed, service.result().error
+        manager = EpochManager(schedule, f_w="1/3")
+        holder_sets = {
+            frozenset(
+                p for p, t in enumerate(manager.next_committee(e)[1].assignment) if t
+            )
+            for e in range(len(service.metrics.epochs))
+        }
+        assert len(holder_sets) == len(service.metrics.epochs) >= 3
+        by_slot = {}
+        for slot, position, _payload in service.committed_log:
+            by_slot.setdefault(slot, []).append(position)
+        assert by_slot == holder_positions(service)
+
+    def test_only_holders_send_and_every_request_commits_once(self):
+        backend = _CountingBackend(seed=0)
+        service = _run_service(backend=backend)
+        assert service.result().completed, service.result().error
+        manager = EpochManager(service.manager.schedule, f_w="1/3")
+        expected = {}
+        for record in service.metrics.epochs:
+            tickets = manager.next_committee(record.epoch)[1].assignment
+            holders = sum(1 for t in tickets if t)
+            assert holders < record.n
+            for slot in range(record.first_slot, record.last_slot):
+                expected[slot] = holders * record.n
+        assert dict(backend.batch_sends) == expected
+        rids = [
+            rid
+            for _, _, batch in service.committed_log
+            for rid, _payload in decode_batch(batch)
+        ]
+        assert sorted(rids) == list(range(36))
 
 
 class TestDeterminism:
